@@ -66,6 +66,64 @@ void BM_GroundPathQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundPathQuery)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
+/// The same path query through the legacy grounder, which enumerates
+/// the whole domain at each of the three quantifiers: the baseline of
+/// ci.sh's guarded-join gate.
+void BM_GroundPathQueryLegacy(benchmark::State& state) {
+  pdb::TiPdb<double> ti = ChainTi(static_cast<int>(state.range(0)));
+  ipdb::logic::Formula query =
+      ipdb::logic::ParseSentence("exists x y z. R(x, y) & R(y, z)",
+                                 ti.schema())
+          .value();
+  for (auto _ : state) {
+    pqe::Lineage lineage;
+    auto root = pqe::GroundSentenceLegacy(ti, query, &lineage);
+    benchmark::DoNotOptimize(root.ok());
+    state.counters["nodes"] = lineage.size();
+  }
+}
+BENCHMARK(BM_GroundPathQueryLegacy)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+
+/// A hub instance of about `n` facts: n/10 hubs R(h), each with eight
+/// edges S(h, t) into n/10 tails T(t).
+pdb::TiPdb<double> HubTi(int n) {
+  rel::Schema schema({{"R", 1}, {"S", 2}, {"T", 1}});
+  const int hubs = std::max(8, n / 10);
+  pdb::TiPdb<double>::FactList facts;
+  for (int h = 0; h < hubs; ++h) {
+    facts.emplace_back(rel::Fact(0, {rel::Value::Int(h)}), 0.5);
+    facts.emplace_back(rel::Fact(2, {rel::Value::Int(hubs + h)}), 0.5);
+    for (int j = 0; j < 8; ++j) {
+      facts.emplace_back(
+          rel::Fact(1, {rel::Value::Int(h),
+                        rel::Value::Int(hubs + (h * 8 + j) % hubs)}),
+          0.5);
+    }
+  }
+  return pdb::TiPdb<double>::CreateOrDie(schema, std::move(facts));
+}
+
+/// Grounding the hub query H0 = ∃x∃y R(x) ∧ S(x,y) ∧ T(y) at 10²–10⁵
+/// facts. Its lineage has one conjunction per S fact, and the join binds
+/// only those, so the `nodes` counter grows exactly with `facts`; time
+/// per fact also carries one O(log n) probe per atom and the lineage's
+/// hash-consing, both of which slow once the tables outgrow the caches.
+void BM_GroundHubQuery(benchmark::State& state) {
+  pdb::TiPdb<double> ti = HubTi(static_cast<int>(state.range(0)));
+  ipdb::logic::Formula query =
+      ipdb::logic::ParseSentence("exists x y. R(x) & S(x, y) & T(y)",
+                                 ti.schema())
+          .value();
+  for (auto _ : state) {
+    pqe::Lineage lineage;
+    auto root = pqe::GroundSentence(ti, query, &lineage);
+    benchmark::DoNotOptimize(root.ok());
+    state.counters["nodes"] = lineage.size();
+  }
+  state.counters["facts"] = static_cast<double>(ti.num_facts());
+}
+BENCHMARK(BM_GroundHubQuery)->Arg(100)->Arg(1000)->Arg(10000)->Arg(100000);
+
 void BM_WmcPathQuery(benchmark::State& state) {
   pdb::TiPdb<double> ti = ChainTi(static_cast<int>(state.range(0)));
   ipdb::logic::Formula query =

@@ -286,6 +286,26 @@ failed |= requery < 10.0
 sys.exit(1 if failed else 0)
 EOF
 
+# Guarded-join grounding: the 3-variable path query on a 32-fact chain
+# binds its variables from the relation's sorted run, so it must ground
+# >= 50x faster than the legacy grounder, which enumerates the whole
+# domain at each of the three quantifiers.
+ground_json="build-release/BENCH_ci_ground.json"
+rm -f "${ground_json}"
+./build-release/bench/pqe_bench --bench_json_out="${ground_json}" \
+  --benchmark_filter='BM_GroundPathQuery(Legacy)?/32$' \
+  --benchmark_min_time=0.2 >/dev/null
+python3 - "${ground_json}" <<'EOF'
+import json, sys
+
+rows = {r["op"]: r for r in json.load(open(sys.argv[1]))["results"]}
+ratio = (rows["BM_GroundPathQueryLegacy/32"]["ns_per_op"]
+         / rows["BM_GroundPathQuery/32"]["ns_per_op"])
+verdict = "ok" if ratio >= 50.0 else "FAIL (< 50x)"
+print(f"  guarded-join grounding, path/32: {ratio:6.1f}x    {verdict}")
+sys.exit(1 if ratio < 50.0 else 0)
+EOF
+
 echo "=== durability gates (Release, durability_bench) ==="
 # The WAL cost envelope at 10^6 facts: journaling a mutation (encode +
 # CRC32C + group-commit buffering) must cost <= 15% over the bare

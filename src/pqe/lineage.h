@@ -11,6 +11,7 @@
 #include "relational/instance.h"
 #include "relational/schema.h"
 #include "storage/ti_store.h"
+#include "util/budget.h"
 #include "util/status.h"
 
 namespace ipdb {
@@ -88,23 +89,35 @@ class Lineage {
 /// follow the infinite-universe semantics of logic/evaluator.h
 /// (adom(T) ∪ consts(φ) ∪ fresh elements). Delegates to the columnar
 /// overload below when the TI carries a store (always, except for
-/// default-constructed TIs).
+/// default-constructed TIs). `budget` (null = unlimited) governs the
+/// columnar grounder: its deadline and cancel token are polled as
+/// bindings are made, and a trip returns the budget error.
 StatusOr<NodeId> GroundSentence(const pdb::TiPdb<double>& ti,
                                 const logic::Formula& sentence,
-                                Lineage* lineage);
+                                Lineage* lineage,
+                                const ExecutionBudget* budget = nullptr);
 
-/// Columnar grounding: atom lookups are dictionary probes plus one
-/// binary search in the relation's sorted run — no per-call
-/// std::map<Fact, int> is materialized. Variable i of the lineage is
-/// global fact i of the store; the produced lineage (node ids, domain
-/// order, hence fingerprints) is identical to the TiPdb overload's.
+/// Columnar grounding. Variable i of the lineage is global fact i of the
+/// store. An `exists x` whose body has an atom conjunct mentioning x
+/// (looking through nested `exists`) binds x only to the dictionary ids
+/// that atom's matching rows carry — a join over the relation's sorted
+/// run, restricted by constants and outer bindings — instead of
+/// enumerating the domain; values that miss the guard only ground to
+/// false. `forall` and unguarded `exists` (a negated atom never guards)
+/// enumerate the domain as GroundSentenceLegacy does. The lineage is therefore the
+/// same formula the legacy grounder builds: node ids may differ (nodes
+/// of dropped bindings are never interned), but kc::LineageFingerprint
+/// is identical, and candidates are bound in rel::Value order so the
+/// lineage is built in the order the enumeration builds it.
 StatusOr<NodeId> GroundSentence(const storage::TiStore& store,
                                 const logic::Formula& sentence,
-                                Lineage* lineage);
+                                Lineage* lineage,
+                                const ExecutionBudget* budget = nullptr);
 
 /// The pre-columnar path — builds an ordered fact-index map over
-/// `ti.facts()` per call. Kept as the benchmark baseline the storage
-/// gate measures against; prefer GroundSentence.
+/// `ti.facts()` per call and enumerates the whole domain at every
+/// quantifier. Kept as the test oracle and the benchmark baseline the
+/// storage and grounding gates measure against; prefer GroundSentence.
 StatusOr<NodeId> GroundSentenceLegacy(const pdb::TiPdb<double>& ti,
                                       const logic::Formula& sentence,
                                       Lineage* lineage);

@@ -342,12 +342,23 @@ StatusOr<QueryAnswer> QueryProbability(const pdb::TiPdb<double>& ti,
   if (!skip_exact) {
     IPDB_OBS_SPAN("pqe.ground", "pqe");
     IPDB_FAULT_POINT("pqe.ground");
-    StatusOr<NodeId> grounded = GroundSentence(ti, sentence, &lineage);
-    if (!grounded.ok()) return grounded.status();
-    root = grounded.value();
-    probs.reserve(ti.facts().size());
-    for (const auto& [fact, marginal] : ti.facts()) {
-      probs.push_back(marginal);
+    StatusOr<NodeId> grounded =
+        GroundSentence(ti, sentence, &lineage, budget);
+    if (grounded.ok()) {
+      root = grounded.value();
+      if (const storage::TiStore* store = ti.store().get()) {
+        probs.reserve(static_cast<size_t>(store->num_facts()));
+        for (int64_t i = 0; i < store->num_facts(); ++i) {
+          probs.push_back(store->ProbAt(i));
+        }
+      }
+    } else if (IsBudgetError(grounded.status())) {
+      // A grounding that outlives the budget (an unguarded quantifier
+      // enumerating a large domain) degrades like a compile trip.
+      exact_error = grounded.status();
+      skip_exact = true;
+    } else {
+      return grounded.status();
     }
   }
 

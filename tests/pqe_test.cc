@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <tuple>
 
 #include "logic/parser.h"
 #include "pqe/lineage.h"
+#include "pqe/prepared.h"
 #include "pqe/wmc.h"
+#include "util/budget.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -91,6 +94,66 @@ TEST(GroundingTest, RequiresSentence) {
   Lineage lineage;
   auto open = logic::ParseFormula("S(x)", ti.schema()).value();
   EXPECT_FALSE(GroundSentence(ti, open, &lineage).ok());
+}
+
+TEST(GroundingTest, BudgetStopsUnguardedEnumeration) {
+  // A 200-fact chain: a domain of 201 values plus the fresh witnesses.
+  rel::Schema schema({{"R", 2}});
+  pdb::TiPdbD::FactList facts;
+  for (int i = 0; i < 200; ++i) {
+    facts.emplace_back(
+        rel::Fact(0, {rel::Value::Int(i), rel::Value::Int(i + 1)}), 0.5);
+  }
+  pdb::TiPdbD ti = pdb::TiPdbD::CreateOrDie(schema, std::move(facts));
+  // Transitivity: every quantifier is universal, hence unguarded, and no
+  // binding grounds to false, so the unbudgeted grounding enumerates all
+  // |D|^3 ≈ 8.5e6 bindings.
+  logic::Formula sentence =
+      logic::ParseSentence("forall x y z. !R(x, y) | !R(y, z) | R(x, z)",
+                           schema)
+          .value();
+  // One x-slice of that enumeration (|D|^2 bindings), unbudgeted, sizes
+  // the whole: the full grounding costs about |D| slices.
+  logic::Formula slice =
+      logic::ParseSentence("forall y z. !R(0, y) | !R(y, z) | R(0, z)",
+                           schema)
+          .value();
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point slice_start = Clock::now();
+  Lineage slice_lineage;
+  ASSERT_TRUE(GroundSentence(ti, slice, &slice_lineage).ok());
+  const Clock::duration unbudgeted = (Clock::now() - slice_start) * 204;
+
+  for (bool fallback : {true, false}) {
+    ExecutionBudget budget =
+        ExecutionBudget::WithTimeout(std::chrono::milliseconds(1));
+    QueryOptions options;
+    options.budget = &budget;
+    options.fallback = fallback;
+    const Clock::time_point start = Clock::now();
+    StatusOr<QueryAnswer> answer = QueryProbability(ti, sentence, options);
+    const Clock::duration elapsed = Clock::now() - start;
+    if (fallback) {
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      EXPECT_TRUE(answer.value().quality == AnswerQuality::kInterval ||
+                  answer.value().quality == AnswerQuality::kFailed);
+      EXPECT_TRUE(IsBudgetError(answer.value().exact_error));
+    } else {
+      ASSERT_FALSE(answer.ok());
+      EXPECT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded);
+    }
+    EXPECT_LT(elapsed * 4, unbudgeted) << "fallback=" << fallback;
+  }
+
+  // A prepared handle grounds under its own budget as well.
+  ExecutionBudget budget =
+      ExecutionBudget::WithTimeout(std::chrono::milliseconds(1));
+  PreparedQuery::Options prepared_options;
+  prepared_options.budget = &budget;
+  StatusOr<PreparedQuery> prepared =
+      PreparedQuery::Prepare(ti.store(), sentence, prepared_options);
+  ASSERT_FALSE(prepared.ok());
+  EXPECT_EQ(prepared.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(WmcTest, MatchesHandComputation) {
