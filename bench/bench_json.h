@@ -78,9 +78,11 @@ class JsonDumpReporter : public benchmark::ConsoleReporter {
       for (const auto& [name, counter] : run.counters) {
         counters.emplace_back(name, static_cast<double>(counter));
       }
-      lines_.push_back(ResultLine(suite_, run.benchmark_name(),
-                                  run.GetAdjustedRealTime(), run.iterations,
-                                  counters));
+      // GetAdjustedRealTime is in the row's display unit (->Unit(...)).
+      const double ns_per_op = run.GetAdjustedRealTime() * 1e9 /
+                               benchmark::GetTimeUnitMultiplier(run.time_unit);
+      lines_.push_back(ResultLine(suite_, run.benchmark_name(), ns_per_op,
+                                  run.iterations, counters));
     }
   }
 

@@ -8,11 +8,14 @@
 // Each row carries a `facts` counter (actual instance size) and, where
 // the circuit oracle is still tractable, a `parity_abs_err` counter —
 // |lifted − circuit| computed once in setup — which ci.sh gates at
-// ≤ 1e-9 alongside the ≥10× chain-speedup gate at 10⁴ facts.
+// ≤ 1e-9 alongside the ≥10× chain-speedup gate at 10⁴ facts. The
+// entity rows (one constant-led query on a hub instance of 10⁴–10⁶
+// facts) must stay within 5× of each other across that 100× growth.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <map>
 #include <string>
 
 #include "bench_json.h"
@@ -64,6 +67,34 @@ pdb::TiPdb<double> StarTi(int n) {
     }
   }
   return pdb::TiPdb<double>::CreateOrDie(schema, std::move(facts));
+}
+
+/// Hub instance for the entity query ∃y S(c, y) ∧ T(y), shaped like the
+/// query service's lifted workload: n/5 hubs x, each with R(x) and four
+/// edges S(x, y) into an 8-value tail domain, and T over four tails — so
+/// |S| grows with n while |T| stays 4. Built once per size.
+const pdb::TiPdb<double>& HubTi(int n) {
+  static std::map<int, pdb::TiPdb<double>> built;
+  auto it = built.find(n);
+  if (it != built.end()) return it->second;
+  rel::Schema schema({{"R", 1}, {"S", 2}, {"T", 1}});
+  pdb::TiPdb<double>::FactList facts;
+  const int hubs = n / 5;
+  for (int x = 0; x < hubs; ++x) {
+    facts.emplace_back(rel::Fact(0, {rel::Value::Int(x)}),
+                       0.2 + 0.6 * ((x * 7) % 10) / 10.0);
+    for (int j = 0; j < 4; ++j) {
+      facts.emplace_back(
+          rel::Fact(1, {rel::Value::Int(x), rel::Value::Int((x + 2 * j) % 8)}),
+          0.1 + 0.05 * ((x + j) % 10));
+    }
+  }
+  for (int y = 0; y < 4; ++y) {
+    facts.emplace_back(rel::Fact(2, {rel::Value::Int(y)}), 0.3 + 0.1 * y);
+  }
+  return built
+      .emplace(n, pdb::TiPdb<double>::CreateOrDie(schema, std::move(facts)))
+      .first->second;
 }
 
 const char kChainQuery[] = "exists x y. R(x) & S(x, y)";
@@ -150,6 +181,17 @@ void BM_CircuitStar(benchmark::State& state) {
   CircuitRows(state, kStarQuery, ti);
 }
 BENCHMARK(BM_CircuitStar)->Arg(100)->Arg(1000);
+
+// The entity query on the middle hub. Its constant leads S's key, so
+// the plan reads that hub's prefix range of S and the 4-row T: the cost
+// must not grow with |S| (ci.sh: 10^6 facts within 5x of 10^4).
+void BM_LiftedEntity(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const std::string text =
+      "exists y. S(" + std::to_string(n / 10) + ", y) & T(y)";
+  LiftedRows(state, text.c_str(), HubTi(n), n);
+}
+BENCHMARK(BM_LiftedEntity)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 }  // namespace
 

@@ -214,10 +214,13 @@ EOF
 
 echo "=== lifted-rung parity + speedup gate (Release) ==="
 # The lifted safe-plan rung must (a) agree with the circuit rung to
-# 1e-9 on every row that carries a parity counter and (b) beat the
+# 1e-9 on every row that carries a parity counter, (b) beat the
 # ground-and-compile pipeline by >= 10x on the chain query at 10^4
-# facts. The star rows are reported for the crossover table in
-# EXPERIMENTS.md but not gated (same engine, noisier setup).
+# facts and (c) answer the constant-led entity query at 10^6 facts
+# within 5x of 10^4: 100x the facts must not cost 100x once the
+# constant narrows the scan to its prefix range. The star rows are
+# reported for the crossover table in EXPERIMENTS.md but not gated
+# (same engine, noisier setup).
 lifted_json="build-release/BENCH_ci_lifted.json"
 rm -f "${lifted_json}"
 ./build-release/bench/lifted_bench --bench_json_out="${lifted_json}" \
@@ -242,6 +245,11 @@ verdict = "ok" if speedup >= 10.0 else "FAIL (< 10x)"
 print(f"  chain@10^4 lifted speedup: {speedup:5.1f}x   {verdict}")
 print(f"  star@10^3  lifted speedup: {star:5.1f}x   (reported)")
 failed |= speedup < 10.0
+entity = (rows["BM_LiftedEntity/1000000"]["ns_per_op"]
+          / rows["BM_LiftedEntity/10000"]["ns_per_op"])
+verdict = "ok" if entity <= 5.0 else "FAIL (> 5x)"
+print(f"  entity 10^6 vs 10^4 facts: {entity:5.2f}x   {verdict}")
+failed |= entity > 5.0
 sys.exit(1 if failed else 0)
 EOF
 

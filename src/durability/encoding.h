@@ -70,7 +70,8 @@ class ByteReader {
   }
   bool GetBytes(void* out, size_t n) {
     if (remaining() < n) return false;
-    std::memcpy(out, data_ + pos_, n);
+    // An empty column's data() may be null, which memcpy must not see.
+    if (n > 0) std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return true;
   }

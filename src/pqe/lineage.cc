@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "logic/evaluator.h"
@@ -393,6 +394,7 @@ enum class GuardRole : uint8_t {
 struct Guard {
   int atom = -1;  // plan index of the atom
   std::vector<GuardRole> roles;
+  std::vector<bool> bound;  // roles[p] == kBound, the row scan's mask
 };
 
 /// The sentence compiled for one grounding call: variables resolved to
@@ -543,6 +545,7 @@ void ColumnarGrounder::CollectGuards(int index, int slot,
         } else {
           guard.roles.push_back(GuardRole::kBound);
         }
+        guard.bound.push_back(guard.roles.back() == GuardRole::kBound);
       }
       if (mentions) guards->push_back(std::move(guard));
       return;
@@ -676,63 +679,50 @@ std::vector<uint32_t> ColumnarGrounder::Candidates(const PlanNode& node) {
   // its leading bound positions, or the whole table when position 0 is
   // not bound.
   const Guard* best = nullptr;
-  int best_prefix = 0;
-  int64_t best_begin = 0;
-  int64_t best_end = 0;
+  std::optional<storage::BoundRowScan> best_scan;
   for (const Guard& guard : node.guards) {
     const PlanNode& atom = plan_[static_cast<size_t>(guard.atom)];
-    int prefix = 0;
-    bool leading = true;
     for (size_t p = 0; p < guard.roles.size(); ++p) {
-      if (guard.roles[p] != GuardRole::kBound) {
-        leading = false;
-        continue;
-      }
+      if (!guard.bound[p]) continue;
       const uint32_t id = Resolve(atom.terms[p]).id;
       // A bound value outside the dictionary matches no row.
       if (id == kNoId) return {};
       key_[p] = id;
-      if (leading) ++prefix;
     }
-    const storage::ColumnTable& table = store_.table(atom.relation);
-    const auto [begin, end] =
-        prefix > 0 ? table.PrefixRange(key_.data(), prefix)
-                   : std::pair<int64_t, int64_t>{0, table.num_rows()};
-    if (begin == end) return {};
-    if (best == nullptr || end - begin < best_end - best_begin) {
+    const storage::BoundRowScan scan(store_.table(atom.relation), guard.bound,
+                                     key_.data());
+    if (scan.span() == 0) return {};
+    if (best == nullptr || scan.span() < best_scan->span()) {
       best = &guard;
-      best_prefix = prefix;
-      best_begin = begin;
-      best_end = end;
+      best_scan = scan;
+      // The scan borrows the key buffer; vector::swap moves no elements,
+      // so it follows the buffer into best_key_ and the next guard fills
+      // the other one.
       key_.swap(best_key_);
     }
   }
 
-  const PlanNode& atom = plan_[static_cast<size_t>(best->atom)];
-  const storage::ColumnTable& table = store_.table(atom.relation);
+  const storage::ColumnTable& table =
+      store_.table(plan_[static_cast<size_t>(best->atom)].relation);
   const std::vector<GuardRole>& roles = best->roles;
   const int arity = static_cast<int>(roles.size());
   const int self = static_cast<int>(
       std::find(roles.begin(), roles.end(), GuardRole::kSelf) - roles.begin());
   // Inside a prefix range the sorted run orders the next column, so when
   // the variable sits right after the prefix its ids arrive sorted.
-  const bool arrives_sorted = self == best_prefix;
+  const bool arrives_sorted = self == best_scan->prefix();
   std::vector<uint32_t> ids;
-  for (int64_t k = best_begin; k < best_end; ++k) {
-    const int64_t row = table.sorted_row(k);
+  best_scan->ForEach([&](int64_t row) {
     const uint32_t id = table.id(self, row);
-    bool match = true;
-    for (int p = best_prefix; p < arity && match; ++p) {
-      if (roles[static_cast<size_t>(p)] == GuardRole::kBound) {
-        match = table.id(p, row) == best_key_[static_cast<size_t>(p)];
-      } else if (roles[static_cast<size_t>(p)] == GuardRole::kSelf) {
-        match = table.id(p, row) == id;
+    for (int p = self + 1; p < arity; ++p) {
+      if (roles[static_cast<size_t>(p)] == GuardRole::kSelf &&
+          table.id(p, row) != id) {
+        return;
       }
     }
-    if (!match) continue;
-    if (arrives_sorted && !ids.empty() && ids.back() == id) continue;
+    if (arrives_sorted && !ids.empty() && ids.back() == id) return;
     ids.push_back(id);
-  }
+  });
   if (!arrives_sorted) {
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());

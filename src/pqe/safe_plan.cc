@@ -5,11 +5,11 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "math/rational.h"
 #include "obs/obs.h"
-#include "relational/fact.h"
 #include "util/check.h"
 #include "util/fault.h"
 
@@ -144,7 +144,7 @@ bool IsHierarchical(const ParsedCq& query) {
 
 namespace {
 
-/// Per-semiring arithmetic of the plan evaluator. Joins need the plain
+/// Per-semiring arithmetic of the plan evaluator. Joins need the
 /// product; projects need Π(1 − pᵢ), which each semiring accumulates its
 /// own way — the double specialization avoids the catastrophic
 /// cancellation of the naive running complement product.
@@ -155,6 +155,7 @@ template <>
 struct LiftedSemiring<double> {
   static double Zero() { return 0.0; }
   static double One() { return 1.0; }
+  static double Mul(double a, double b) { return a * b; }
   /// Accumulates Π(1 − pᵢ) as exp(Σ log1p(−pᵢ)) and returns
   /// 1 − Π via expm1, so many small marginals keep their full relative
   /// precision instead of vanishing against a running product ≈ 1.
@@ -179,6 +180,9 @@ template <>
 struct LiftedSemiring<math::Rational> {
   static math::Rational Zero() { return math::Rational(); }
   static math::Rational One() { return math::Rational(1); }
+  static math::Rational Mul(const math::Rational& a, const math::Rational& b) {
+    return a * b;
+  }
   class ComplementProduct {
    public:
     void MulComplement(const math::Rational& p) {
@@ -191,26 +195,29 @@ struct LiftedSemiring<math::Rational> {
   };
 };
 
-/// Orders borrowed bucket keys by the pointed-to value, so project
-/// buckets keyed by `const rel::Value*` iterate in exactly the Value
-/// order the old by-value map used — without copying a rel::Value
-/// (potentially a heap string) per key.
-struct ValueDerefLess {
-  bool operator()(const rel::Value* a, const rel::Value* b) const {
-    return *a < *b;
-  }
-};
-
+/// Interval arithmetic does not round outward (util/interval.h), so each
+/// product and difference here is widened by one ulp per side: under
+/// round-to-nearest every operation errs by at most half an ulp, and the
+/// result encloses the exact value for the given marginals.
 template <>
 struct LiftedSemiring<Interval> {
   static Interval Zero() { return Interval::Point(0.0); }
   static Interval One() { return Interval::Point(1.0); }
+  static Interval Outward(const Interval& x) {
+    return Interval(std::nextafter(x.lo(), -Interval::kInfinity),
+                    std::nextafter(x.hi(), Interval::kInfinity));
+  }
+  static Interval Mul(const Interval& a, const Interval& b) {
+    return Outward(a * b);
+  }
   class ComplementProduct {
    public:
     void MulComplement(const Interval& p) {
-      none_ = none_ * (Interval::Point(1.0) - p);
+      none_ = Mul(none_, Outward(Interval::Point(1.0) - p));
     }
-    Interval Result() const { return Interval::Point(1.0) - none_; }
+    Interval Result() const {
+      return Outward(Interval::Point(1.0) - none_);
+    }
 
    private:
     Interval none_ = Interval::Point(1.0);
@@ -377,12 +384,14 @@ StatusOr<int> LiftedPlan::Build(const std::vector<int>& atom_set,
   return static_cast<int>(nodes_.size()) - 1;
 }
 
-template <typename T, typename P, typename Convert>
-StatusOr<T> LiftedPlan::EvaluateImpl(const pdb::TiPdb<P>& ti, Convert convert,
-                                     const LiftedOptions& options) const {
+template <typename T, typename ProbAt>
+StatusOr<T> LiftedPlan::EvaluateStoreImpl(const storage::TiStore& store,
+                                          ProbAt prob_at,
+                                          const LiftedOptions& options) const {
+  const rel::Schema& schema = store.schema();
   for (const Formula& atom : atoms_) {
-    if (!ti.schema().has_relation(atom.relation()) ||
-        ti.schema().arity(atom.relation()) !=
+    if (!schema.has_relation(atom.relation()) ||
+        schema.arity(atom.relation()) !=
             static_cast<int>(atom.terms().size())) {
       return InvalidArgumentError("query does not match the TI schema");
     }
@@ -408,7 +417,7 @@ StatusOr<T> LiftedPlan::EvaluateImpl(const pdb::TiPdb<P>& ti, Convert convert,
     }
   }
 
-  // Plan-shape counters; ground lookups are counted dynamically below.
+  // Plan-shape counters; ground lookups are counted during the walk.
   SafePlanStats local;
   for (const PlanNode& node : nodes_) {
     if (node.op == PlanOp::kIndependentJoin) ++local.independent_joins;
@@ -416,32 +425,39 @@ StatusOr<T> LiftedPlan::EvaluateImpl(const pdb::TiPdb<P>& ti, Convert convert,
   }
 
   struct Row {
-    const rel::Fact* fact;
+    uint32_t row;
     T prob;
   };
-  // Per-atom fact tables in ONE scan of the instance (the query is
-  // self-join-free, so each fact feeds at most one atom). Facts that
-  // disagree with an atom's constant positions are filtered here, once,
-  // instead of at every recursion level.
+  // Per-atom row tables straight off the columns. Query constants
+  // resolve to dictionary ids once per call (a miss means the value
+  // occurs nowhere in the store, so the atom's table is empty) and bind
+  // their positions in the shared row scan: a constant-led atom such as
+  // S(c, y) reads only c's prefix range of the sorted run. Self-join
+  // freedom means each table is read by one atom.
   std::vector<std::vector<Row>> tables(atoms_.size());
+  std::vector<const storage::ColumnTable*> atom_table(atoms_.size(), nullptr);
   BudgetMeter meter(budget, 0, "pqe.lifted");
   if (root_ >= 0) {
-    for (const auto& [fact, marginal] : ti.facts()) {
-      Status charge = meter.Charge();
-      if (!charge.ok()) return charge;
-      auto it = relation_atom_.find(fact.relation());
-      if (it == relation_atom_.end()) continue;
-      const int a = it->second;
+    for (const auto& [relation, a] : relation_atom_) {
+      const storage::ColumnTable& table = store.table(relation);
+      atom_table[a] = &table;
       const std::vector<int>& vars = term_vars_[a];
-      const std::vector<rel::Value>& consts = term_consts_[a];
-      bool matches = true;
-      for (size_t pos = 0; pos < vars.size(); ++pos) {
-        if (vars[pos] < 0 && !(fact.args()[pos] == consts[pos])) {
-          matches = false;
-          break;
-        }
+      std::vector<bool> bound(vars.size(), false);
+      std::vector<uint32_t> key(vars.size(), 0);
+      bool possible = true;
+      for (size_t pos = 0; pos < vars.size() && possible; ++pos) {
+        if (vars[pos] >= 0) continue;
+        bound[pos] = true;
+        key[pos] = store.dictionary().Find(term_consts_[a][pos]);
+        possible = key[pos] != storage::Dictionary::kNotFound;
       }
-      if (matches) tables[a].push_back(Row{&fact, convert(marginal)});
+      if (!possible) continue;
+      const storage::BoundRowScan scan(table, bound, key.data());
+      Status charge = meter.Charge(scan.span() + 1);
+      if (!charge.ok()) return charge;
+      scan.ForEach([&](int64_t r) {
+        tables[a].push_back(Row{static_cast<uint32_t>(r), prob_at(table, r)});
+      });
     }
   }
 
@@ -451,6 +467,7 @@ StatusOr<T> LiftedPlan::EvaluateImpl(const pdb::TiPdb<P>& ti, Convert convert,
   struct Evaluator {
     const LiftedPlan& plan;
     std::vector<std::vector<Row>>& tables;
+    const std::vector<const storage::ColumnTable*>& atom_table;
     BudgetMeter& meter;
     SafePlanStats& stats;
     Status error;
@@ -475,234 +492,7 @@ StatusOr<T> LiftedPlan::EvaluateImpl(const pdb::TiPdb<P>& ti, Convert convert,
         case PlanOp::kIndependentJoin: {
           T product = LiftedSemiring<T>::One();
           for (int child : node.children) {
-            product = product * Eval(child);
-            if (!error.ok()) return LiftedSemiring<T>::Zero();
-          }
-          return product;
-        }
-        case PlanOp::kIndependentProject:
-          return EvalProject(id, node);
-      }
-      return LiftedSemiring<T>::Zero();
-    }
-
-    T EvalProject(int id, const PlanNode& node) {
-      const std::vector<int>& scope = plan.node_atoms_[id];
-      const int var = node.project_var;
-      // Bucket each in-scope atom's rows by the projected variable's
-      // value; rows whose repeated positions disagree (e.g. S(x, x) on a
-      // fact S(1, 2)) drop out here. Keys *borrow* the value from the
-      // fact's argument vector (which outlives the buckets) — the old
-      // by-value keys copied a rel::Value per row per project level,
-      // which dominated allocation on string-heavy instances. The deref
-      // comparator keeps candidates in Value order, so double
-      // accumulation order is unchanged.
-      std::vector<
-          std::map<const rel::Value*, std::vector<Row>, ValueDerefLess>>
-          buckets(scope.size());
-      for (size_t k = 0; k < scope.size(); ++k) {
-        std::vector<Row>& rows = tables[scope[k]];
-        Status charge = meter.Charge(static_cast<int64_t>(rows.size()) + 1);
-        if (!charge.ok()) {
-          error = std::move(charge);
-          return LiftedSemiring<T>::Zero();
-        }
-        const std::vector<int>& vars = plan.term_vars_[scope[k]];
-        size_t first_pos = 0;
-        while (vars[first_pos] != var) ++first_pos;  // root var: occurs
-        for (Row& row : rows) {
-          const std::vector<rel::Value>& args = row.fact->args();
-          const rel::Value& value = args[first_pos];
-          bool consistent = true;
-          for (size_t pos = first_pos + 1; pos < vars.size(); ++pos) {
-            if (vars[pos] == var && !(args[pos] == value)) {
-              consistent = false;
-              break;
-            }
-          }
-          if (consistent) buckets[k][&value].push_back(std::move(row));
-        }
-      }
-      // A candidate contributes 0 unless present in every atom's bucket
-      // (the component is connected through the root variable), so
-      // iterate the smallest map and intersect.
-      size_t guard = 0;
-      for (size_t k = 1; k < scope.size(); ++k) {
-        if (buckets[k].size() < buckets[guard].size()) guard = k;
-      }
-      typename LiftedSemiring<T>::ComplementProduct complement;
-      for (auto& [value, guard_rows] : buckets[guard]) {
-        bool everywhere = true;
-        for (size_t k = 0; k < scope.size() && everywhere; ++k) {
-          if (k != guard) everywhere = buckets[k].count(value) > 0;
-        }
-        if (!everywhere) continue;
-        // Install the candidate's rows; each child evaluation re-installs
-        // before reading, so nothing needs restoring afterwards.
-        for (size_t k = 0; k < scope.size(); ++k) {
-          tables[scope[k]] = std::move(buckets[k][value]);
-        }
-        T p = Eval(node.children[0]);
-        if (!error.ok()) return LiftedSemiring<T>::Zero();
-        complement.MulComplement(p);
-      }
-      return complement.Result();
-    }
-  };
-
-  T result = LiftedSemiring<T>::One();  // empty conjunction: ⊤
-  if (root_ >= 0) {
-    Evaluator evaluator{*this, tables, meter, local, Status::Ok()};
-    result = evaluator.Eval(root_);
-    if (!evaluator.error.ok()) {
-      return IPDB_STATUS_FORWARD(evaluator.error)
-             << "lifted evaluation aborted";
-    }
-  }
-
-  IPDB_OBS_COUNT("pqe.lifted.evaluations", 1);
-  IPDB_OBS_COUNT("pqe.lifted.independent_joins", local.independent_joins);
-  IPDB_OBS_COUNT("pqe.lifted.independent_projects",
-                 local.independent_projects);
-  IPDB_OBS_COUNT("pqe.lifted.ground_lookups", local.ground_lookups);
-  if (options.stats != nullptr) {
-    options.stats->independent_joins += local.independent_joins;
-    options.stats->independent_projects += local.independent_projects;
-    options.stats->ground_lookups += local.ground_lookups;
-  }
-  return result;
-}
-
-template <typename P>
-StatusOr<P> LiftedPlan::Evaluate(const pdb::TiPdb<P>& ti,
-                                 const LiftedOptions& options) const {
-  return EvaluateImpl<P>(
-      ti, [](const P& p) { return p; }, options);
-}
-
-template StatusOr<double> LiftedPlan::Evaluate<double>(
-    const pdb::TiPdb<double>&, const LiftedOptions&) const;
-template StatusOr<math::Rational> LiftedPlan::Evaluate<math::Rational>(
-    const pdb::TiPdb<math::Rational>&, const LiftedOptions&) const;
-
-StatusOr<Interval> LiftedPlan::EvaluateInterval(
-    const pdb::TiPdb<double>& ti, const LiftedOptions& options) const {
-  return EvaluateImpl<Interval>(
-      ti, [](double p) { return Interval::Point(p); }, options);
-}
-
-template <typename T, typename ProbAt>
-StatusOr<T> LiftedPlan::EvaluateStoreImpl(const storage::TiStore& store,
-                                          ProbAt prob_at,
-                                          const LiftedOptions& options) const {
-  const rel::Schema& schema = store.schema();
-  for (const Formula& atom : atoms_) {
-    if (!schema.has_relation(atom.relation()) ||
-        schema.arity(atom.relation()) !=
-            static_cast<int>(atom.terms().size())) {
-      return InvalidArgumentError("query does not match the TI schema");
-    }
-  }
-  IPDB_FAULT_POINT("pqe.lifted.evaluate");
-  IPDB_OBS_SPAN("pqe.lifted_eval", "pqe");
-  IPDB_OBS_SCOPED_TIMER("pqe.lifted.eval_ns");
-  const ExecutionBudget* budget =
-      options.budget != nullptr && options.budget->unlimited()
-          ? nullptr
-          : options.budget;
-  if (budget != nullptr) {
-    Status now = budget->CheckTime("pqe.lifted");
-    if (!now.ok()) return now;
-    if (budget->max_recursion_depth > 0 &&
-        depth_ > budget->max_recursion_depth) {
-      return ResourceExhaustedError(
-          "pqe.lifted plan depth " + std::to_string(depth_) +
-          " exceeds the recursion cap of " +
-          std::to_string(budget->max_recursion_depth));
-    }
-  }
-
-  SafePlanStats local;
-  for (const PlanNode& node : nodes_) {
-    if (node.op == PlanOp::kIndependentJoin) ++local.independent_joins;
-    if (node.op == PlanOp::kIndependentProject) ++local.independent_projects;
-  }
-
-  struct Row {
-    uint32_t row;
-    T prob;
-  };
-  // Per-atom row tables straight off the columns: query constants
-  // resolve to dictionary ids once per call (a miss means the value
-  // occurs nowhere in the store, so the atom's table is empty), and the
-  // per-row filter compares uint32 ids — no rel::Fact materialization,
-  // no rel::Value comparisons.
-  std::vector<std::vector<Row>> tables(atoms_.size());
-  std::vector<const storage::ColumnTable*> atom_table(atoms_.size(), nullptr);
-  BudgetMeter meter(budget, 0, "pqe.lifted");
-  if (root_ >= 0) {
-    for (const auto& [relation, a] : relation_atom_) {
-      const storage::ColumnTable& table = store.table(relation);
-      atom_table[a] = &table;
-      const std::vector<int>& vars = term_vars_[a];
-      const std::vector<rel::Value>& consts = term_consts_[a];
-      std::vector<std::pair<int, uint32_t>> const_ids;
-      bool possible = true;
-      for (size_t pos = 0; pos < vars.size(); ++pos) {
-        if (vars[pos] >= 0) continue;
-        const uint32_t id = store.dictionary().Find(consts[pos]);
-        if (id == storage::Dictionary::kNotFound) {
-          possible = false;
-          break;
-        }
-        const_ids.emplace_back(static_cast<int>(pos), id);
-      }
-      if (!possible) continue;
-      const int64_t rows = table.num_rows();
-      Status charge = meter.Charge(rows + 1);
-      if (!charge.ok()) return charge;
-      for (int64_t r = 0; r < rows; ++r) {
-        bool matches = true;
-        for (const auto& [pos, id] : const_ids) {
-          if (table.id(pos, r) != id) {
-            matches = false;
-            break;
-          }
-        }
-        if (matches) {
-          tables[a].push_back(Row{static_cast<uint32_t>(r), prob_at(table, r)});
-        }
-      }
-    }
-  }
-
-  struct Evaluator {
-    const LiftedPlan& plan;
-    std::vector<std::vector<Row>>& tables;
-    const std::vector<const storage::ColumnTable*>& atom_table;
-    BudgetMeter& meter;
-    SafePlanStats& stats;
-    Status error;
-
-    T Eval(int id) {
-      if (!error.ok()) return LiftedSemiring<T>::Zero();
-      Status charge = meter.Charge();
-      if (!charge.ok()) {
-        error = std::move(charge);
-        return LiftedSemiring<T>::Zero();
-      }
-      const PlanNode& node = plan.nodes_[id];
-      switch (node.op) {
-        case PlanOp::kGroundLookup: {
-          ++stats.ground_lookups;
-          const std::vector<Row>& rows = tables[node.atom];
-          return rows.empty() ? LiftedSemiring<T>::Zero()
-                              : rows.front().prob;
-        }
-        case PlanOp::kIndependentJoin: {
-          T product = LiftedSemiring<T>::One();
-          for (int child : node.children) {
-            product = product * Eval(child);
+            product = LiftedSemiring<T>::Mul(product, Eval(child));
             if (!error.ok()) return LiftedSemiring<T>::Zero();
           }
           return product;
@@ -818,6 +608,40 @@ StatusOr<math::Rational> LiftedPlan::EvaluateExact(
       store,
       [](const storage::ColumnTable& table, int64_t row) {
         return *table.ExactAt(row);
+      },
+      options);
+}
+
+template <typename P>
+StatusOr<P> LiftedPlan::Evaluate(const pdb::TiPdb<P>& ti,
+                                 const LiftedOptions& options) const {
+  // Only a default-constructed TiPdb lacks a store: it has an empty
+  // schema and no instance to evaluate on.
+  if (ti.store() == nullptr) {
+    return InvalidArgumentError("query does not match the TI schema");
+  }
+  if constexpr (std::is_same_v<P, math::Rational>) {
+    // TiPdb<Rational> stores an exact marginal for every fact.
+    return EvaluateExact(*ti.store(), options);
+  } else {
+    return Evaluate(*ti.store(), options);
+  }
+}
+
+template StatusOr<double> LiftedPlan::Evaluate<double>(
+    const pdb::TiPdb<double>&, const LiftedOptions&) const;
+template StatusOr<math::Rational> LiftedPlan::Evaluate<math::Rational>(
+    const pdb::TiPdb<math::Rational>&, const LiftedOptions&) const;
+
+StatusOr<Interval> LiftedPlan::EvaluateInterval(
+    const pdb::TiPdb<double>& ti, const LiftedOptions& options) const {
+  if (ti.store() == nullptr) {
+    return InvalidArgumentError("query does not match the TI schema");
+  }
+  return EvaluateStoreImpl<Interval>(
+      *ti.store(),
+      [](const storage::ColumnTable& table, int64_t row) {
+        return Interval::Point(table.prob(row));
       },
       options);
 }

@@ -37,11 +37,15 @@ namespace pqe {
 /// The engine is compile-once / evaluate-many: `LiftedPlan::Compile`
 /// derives an extensional plan IR (independent-project /
 /// independent-join / ground-lookup nodes) from the hierarchy witness,
-/// and `Evaluate` runs it over per-atom fact tables built in one scan of
-/// the instance — no re-parse, no re-scan, no per-call fact copies. Like
-/// kc::EvaluateCircuit, evaluation is generic over the value semiring:
-/// `double` (numerically stable complement products via log1p/expm1),
-/// exact `math::Rational`, and certified `Interval` enclosures.
+/// and every `Evaluate*` entry point runs it through one columnar body
+/// over the instance's storage::TiStore: per-atom row tables come from
+/// storage::BoundRowScan (the grounder's bound-position scan, so query
+/// constants narrow the read to a prefix range of the sorted run) and
+/// project buckets key on dictionary ids — no re-parse, no rel::Fact or
+/// rel::Value on the hot path. Like kc::EvaluateCircuit, evaluation is
+/// generic over the value semiring: `double` (numerically stable
+/// complement products via log1p/expm1), exact `math::Rational`, and
+/// certified `Interval` enclosures.
 /// `QueryProbability(QueryOptions)` in wmc.h uses the plan as the first
 /// rung of its degradation ladder (lifted → compile → Monte Carlo).
 
@@ -124,9 +128,11 @@ class LiftedPlan {
   /// variable in some connected subquery).
   static StatusOr<LiftedPlan> Compile(const logic::Formula& sentence);
 
-  /// Pr_{I~ti}(I ⊨ q) in the P-semiring: double (stable complement
-  /// accumulation), or exact math::Rational. Fails with
-  /// kInvalidArgument when the TI's schema does not cover the query and
+  /// Pr_{I~ti}(I ⊨ q) in the P-semiring, evaluated on `ti.store()`:
+  /// double reads the probability column (as Evaluate(TiStore)), exact
+  /// math::Rational the exact side table (as EvaluateExact). Fails with
+  /// kInvalidArgument when the TI's schema does not cover the query (a
+  /// default-constructed TiPdb, which has no store, covers none) and
   /// with the budget's error when `options.budget` trips.
   template <typename P>
   StatusOr<P> Evaluate(const pdb::TiPdb<P>& ti,
@@ -135,8 +141,7 @@ class LiftedPlan {
   /// Columnar evaluation: scans the store's per-relation column tables
   /// directly — row tables hold (row index, marginal) pairs, query
   /// constants resolve to dictionary ids once per call, and project
-  /// buckets key on `uint32_t` ids instead of `rel::Value` copies. No
-  /// rel::Fact or rel::Value is materialized on the hot path.
+  /// buckets key on `uint32_t` ids.
   StatusOr<double> Evaluate(const storage::TiStore& store,
                             const LiftedOptions& options = {}) const;
 
@@ -147,8 +152,9 @@ class LiftedPlan {
       const storage::TiStore& store, const LiftedOptions& options = {}) const;
 
   /// Certified enclosure of the query probability from point-interval
-  /// marginals (the interval semiring tracks the rounding of the
-  /// plan's products; see util/interval.h for the certification model).
+  /// marginals: every product and complement of the plan is widened
+  /// outward by one ulp, so the interval contains the exact probability
+  /// of the stored double marginals.
   StatusOr<Interval> EvaluateInterval(const pdb::TiPdb<double>& ti,
                                       const LiftedOptions& options = {}) const;
 
@@ -174,15 +180,9 @@ class LiftedPlan {
   StatusOr<int> Build(const std::vector<int>& atom_set,
                       std::vector<bool>* bound, int depth);
 
-  /// Shared body of Evaluate / EvaluateInterval: T is the result
-  /// semiring, P the marginal type stored in the TI, and `convert`
-  /// lifts P into T.
-  template <typename T, typename P, typename Convert>
-  StatusOr<T> EvaluateImpl(const pdb::TiPdb<P>& ti, Convert convert,
-                           const LiftedOptions& options) const;
-
-  /// Columnar body of Evaluate(TiStore) / EvaluateExact: `prob_at`
-  /// reads a row's marginal as T from its column table.
+  /// The one evaluation body behind every entry point: T is the result
+  /// semiring and `prob_at` reads a row's marginal as T from its column
+  /// table.
   template <typename T, typename ProbAt>
   StatusOr<T> EvaluateStoreImpl(const storage::TiStore& store, ProbAt prob_at,
                                 const LiftedOptions& options) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <tuple>
 
 #include "util/check.h"
 
@@ -292,6 +293,17 @@ int64_t ColumnTable::ApproxBytes() const {
   bytes += static_cast<int64_t>(exact_.capacity() *
                                 sizeof(std::pair<uint32_t, math::Rational>));
   return bytes;
+}
+
+BoundRowScan::BoundRowScan(const ColumnTable& table,
+                           const std::vector<bool>& bound,
+                           const uint32_t* key)
+    : table_(&table), bound_(&bound), key_(key) {
+  IPDB_CHECK_EQ(static_cast<int>(bound.size()), table.arity());
+  while (prefix_ < table.arity() && bound[static_cast<size_t>(prefix_)]) {
+    ++prefix_;
+  }
+  std::tie(begin_, end_) = table.PrefixRange(key, prefix_);
 }
 
 }  // namespace storage

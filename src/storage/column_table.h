@@ -131,6 +131,50 @@ class ColumnTable {
   std::vector<std::pair<uint32_t, math::Rational>> exact_;
 };
 
+/// The rows of a table whose *bound* argument positions hold given ids —
+/// the row scan shared by the guarded grounder and the lifted evaluator.
+/// The leading run of bound positions narrows the sorted run with
+/// PrefixRange (an atom S(c, y) reads only c's rows); bound positions
+/// after the first unbound one are compared row by row. `bound` and
+/// `key` are borrowed and must outlive the scan; key[p] is read only
+/// where bound[p] is set.
+class BoundRowScan {
+ public:
+  BoundRowScan(const ColumnTable& table, const std::vector<bool>& bound,
+               const uint32_t* key);
+
+  /// Sorted-run positions left after narrowing: an upper bound on the
+  /// matching rows and the number ForEach visits.
+  int64_t span() const { return end_ - begin_; }
+  /// Leading bound positions the range was narrowed by; within the range
+  /// the sorted run orders column prefix() next.
+  int prefix() const { return prefix_; }
+
+  /// Calls fn(row) for every matching row, in sorted-run order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    const int arity = table_->arity();
+    for (int64_t k = begin_; k < end_; ++k) {
+      const int64_t row = table_->sorted_row(k);
+      bool match = true;
+      // Position prefix_ is the first unbound one (or past the end).
+      for (int p = prefix_ + 1; p < arity && match; ++p) {
+        match = !(*bound_)[static_cast<size_t>(p)] ||
+                table_->id(p, row) == key_[p];
+      }
+      if (match) fn(row);
+    }
+  }
+
+ private:
+  const ColumnTable* table_;
+  const std::vector<bool>* bound_;
+  const uint32_t* key_;
+  int prefix_ = 0;
+  int64_t begin_ = 0;
+  int64_t end_ = 0;
+};
+
 }  // namespace storage
 }  // namespace ipdb
 

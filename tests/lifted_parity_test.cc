@@ -2,11 +2,16 @@
 /// random hierarchical self-join-free CQs over random TI instances,
 /// checked in exact rational arithmetic (EXPECT_EQ, no tolerances)
 /// against two independent oracles — the ground-then-compile d-DNNF
-/// pipeline and brute-force world enumeration. Randomly generated
-/// queries *outside* the safe class double as rejection coverage.
+/// pipeline and brute-force world enumeration. Each accepted query also
+/// runs through the other entry points of the one columnar evaluator:
+/// the interval enclosure must contain the exact answer, and the
+/// QueryProbability ladder (QUERY) and a PreparedQuery (PQUERY) must
+/// agree bit for bit. Randomly generated queries *outside* the safe
+/// class double as rejection coverage.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -17,9 +22,13 @@
 #include "logic/evaluator.h"
 #include "logic/formula.h"
 #include "logic/parser.h"
+#include "math/bigint.h"
 #include "math/rational.h"
 #include "pqe/lineage.h"
+#include "pqe/prepared.h"
 #include "pqe/safe_plan.h"
+#include "pqe/wmc.h"
+#include "relational/fact.h"
 #include "relational/instance.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -102,6 +111,50 @@ math::Rational BruteForceRational(const pdb::TiPdb<math::Rational>& ti,
   return total;
 }
 
+/// The exact value of a finite double of magnitude below 2^53.
+math::Rational ExactValue(double x) {
+  int exponent = 0;
+  const double mantissa = std::frexp(x, &exponent);  // x = mantissa·2^exp
+  const int64_t scaled = static_cast<int64_t>(std::ldexp(mantissa, 53));
+  return math::Rational(math::BigInt(scaled),
+                        math::BigInt::TwoToThe(static_cast<uint64_t>(
+                            53 - exponent)));
+}
+
+/// The double-marginal entry points on one accepted query: the interval
+/// enclosure contains the exact answer for the marginals it was given
+/// (the doubles, read exactly), and the lifted rung of QueryProbability
+/// and a PreparedQuery on the same store return the same double bit for
+/// bit.
+void CheckDoubleEntryPoints(const rel::Schema& schema, const LiftedPlan& plan,
+                            const logic::Formula& sentence,
+                            const pdb::TiPdb<double>& ti) {
+  pdb::TiPdb<math::Rational>::FactList dyadic;
+  for (const auto& [fact, marginal] : ti.facts()) {
+    dyadic.emplace_back(fact, ExactValue(marginal));
+  }
+  StatusOr<math::Rational> exact = plan.Evaluate(
+      pdb::TiPdb<math::Rational>::CreateOrDie(schema, std::move(dyadic)));
+  StatusOr<Interval> enclosure = plan.EvaluateInterval(ti);
+  ASSERT_TRUE(exact.ok()) << sentence.ToString(schema);
+  ASSERT_TRUE(enclosure.ok()) << sentence.ToString(schema);
+  EXPECT_LE(ExactValue(enclosure.value().lo()), exact.value())
+      << sentence.ToString(schema);
+  EXPECT_LE(exact.value(), ExactValue(enclosure.value().hi()))
+      << sentence.ToString(schema);
+
+  StatusOr<QueryAnswer> query = QueryProbability(ti, sentence, QueryOptions{});
+  StatusOr<PreparedQuery> prepared = PreparedQuery::Prepare(ti.store(), sentence);
+  ASSERT_TRUE(query.ok()) << sentence.ToString(schema);
+  ASSERT_TRUE(prepared.ok()) << sentence.ToString(schema);
+  EXPECT_TRUE(query.value().lifted) << sentence.ToString(schema);
+  EXPECT_TRUE(prepared.value().lifted()) << sentence.ToString(schema);
+  StatusOr<double> pquery = prepared.value().Query();
+  ASSERT_TRUE(pquery.ok()) << sentence.ToString(schema);
+  EXPECT_EQ(query.value().probability, pquery.value())
+      << sentence.ToString(schema);
+}
+
 TEST(LiftedParityTest, RandomHierarchicalQueriesMatchCircuitAndBruteForce) {
   rel::Schema schema = ParitySchema();
   Pcg32 rng(0x11f7ed);
@@ -162,7 +215,9 @@ TEST(LiftedParityTest, RandomHierarchicalQueriesMatchCircuitAndBruteForce) {
     EXPECT_EQ(lifted.value(), circuit.value())
         << sentence.ToString(schema);
     EXPECT_EQ(lifted.value(), brute) << sentence.ToString(schema);
-    if (lifted.value() != circuit.value() || lifted.value() != brute) {
+    CheckDoubleEntryPoints(schema, plan.value(), sentence, ti);
+    if (lifted.value() != circuit.value() || lifted.value() != brute ||
+        HasFailure()) {
       break;  // one counterexample is enough output
     }
   }
@@ -171,6 +226,68 @@ TEST(LiftedParityTest, RandomHierarchicalQueriesMatchCircuitAndBruteForce) {
       << rejected << " rejected in " << attempts << " attempts";
   // The generator must also exercise the rejection path.
   EXPECT_GT(rejected, 10);
+}
+
+/// Constant and repeated-variable shapes the row scan narrows or filters
+/// differently, on one fixed instance, against brute force.
+TEST(LiftedParityTest, ConstantAndRepeatedVariableAtoms) {
+  rel::Schema schema = ParitySchema();
+  auto fact = [](int relation, std::vector<int64_t> args) {
+    std::vector<rel::Value> values;
+    for (int64_t a : args) values.push_back(rel::Value::Int(a));
+    return rel::Fact(relation, std::move(values));
+  };
+  pdb::TiPdb<math::Rational>::FactList facts = {
+      {fact(0, {1}), math::Rational::Ratio(1, 2)},
+      {fact(0, {3}), math::Rational::Ratio(2, 3)},
+      {fact(1, {1, 1}), math::Rational::Ratio(1, 3)},
+      {fact(1, {1, 2}), math::Rational::Ratio(3, 4)},
+      {fact(1, {2, 1}), math::Rational::Ratio(1, 5)},
+      {fact(1, {3, 2}), math::Rational::Ratio(2, 7)},
+      {fact(1, {3, 3}), math::Rational::Ratio(5, 8)},
+      {fact(2, {1}), math::Rational::Ratio(3, 5)},
+      {fact(2, {2}), math::Rational::Ratio(1, 4)},
+  };
+  pdb::TiPdb<math::Rational> exact_ti =
+      pdb::TiPdb<math::Rational>::CreateOrDie(schema, facts);
+  pdb::TiPdb<double>::FactList shadow;
+  for (const auto& [f, marginal] : facts) {
+    shadow.emplace_back(f, marginal.ToDouble());
+  }
+  pdb::TiPdb<double> ti =
+      pdb::TiPdb<double>::CreateOrDie(schema, std::move(shadow));
+
+  const char* queries[] = {
+      "exists y. S(1, y) & T(y)",       // leading constant: prefix range
+      "exists x. S(x, 2) & R(x)",       // trailing constant: filtered
+      "exists y. S(7, y) & T(y)",       // absent constant: no rows
+      "exists x. S(x, x) & R(x)",       // repeated variable
+      "exists x y. R(x) & S(x, y)",     // whole relation
+      "exists x. S(3, x) & T(x) & R(3)",  // constant-only atom
+  };
+  for (const char* text : queries) {
+    logic::Formula sentence = logic::ParseSentence(text, schema).value();
+    StatusOr<LiftedPlan> plan = LiftedPlan::Compile(sentence);
+    ASSERT_TRUE(plan.ok()) << text << ": " << plan.status().ToString();
+    StatusOr<math::Rational> lifted = plan.value().Evaluate(exact_ti);
+    ASSERT_TRUE(lifted.ok()) << text << ": " << lifted.status().ToString();
+    EXPECT_EQ(lifted.value(), BruteForceRational(exact_ti, sentence)) << text;
+    CheckDoubleEntryPoints(schema, plan.value(), sentence, ti);
+  }
+}
+
+TEST(LiftedParityTest, NullStoreIsInvalidArgument) {
+  rel::Schema schema = ParitySchema();
+  StatusOr<LiftedPlan> plan = LiftedPlan::Compile(
+      logic::ParseSentence("exists x y. R(x) & S(x, y)", schema).value());
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan.value().Evaluate(pdb::TiPdb<double>()).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      plan.value().Evaluate(pdb::TiPdb<math::Rational>()).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(plan.value().EvaluateInterval(pdb::TiPdb<double>()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(LiftedParityTest, SelfJoinAndNonCqShapesRejected) {
